@@ -123,7 +123,12 @@ type EngineOptions = core.EngineOptions
 
 // FilterMode is the EngineOptions.Filter policy for the skip-scan
 // front-end: FilterAuto (default; on when the dictionary qualifies),
-// FilterOn (forced when legal), FilterOff.
+// FilterOn (forced when legal), FilterOff. FilterAuto decides on the
+// window, the shortest pattern length, because the window caps every
+// skip: windows of 16 bytes or more are always filtered, whatever the
+// dictionary's size; 4-15-byte windows only when the dictionary has at
+// most 256 patterns and sparse evidence tables, since short windows
+// lose to a fast cache-resident kernel; shorter windows never.
 type FilterMode = core.FilterMode
 
 // Filter policies; see FilterMode.

@@ -85,6 +85,51 @@ func TestScenarioConformance(t *testing.T) {
 	}
 }
 
+// TestScenarioConformanceLargeDictionary puts the skip-scan filter in
+// front of a dense verifier that spills L2: 1,332 case-folded 24-byte
+// patterns (a 30,000-state automaton), admitted by FilterAuto on their
+// window length alone. Every rung x filter x scan-mode configuration
+// must reproduce the unfiltered reference, and the filter must be live
+// on every literal rung.
+func TestScenarioConformanceLargeDictionary(t *testing.T) {
+	pats, err := workload.Dictionary(workload.DictConfig{TargetStates: 30000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, planted, err := workload.Traffic(workload.TrafficConfig{
+		Bytes: 128 << 10, MatchEvery: 2 << 10, Dictionary: pats, Seed: 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := workload.Scenario{
+		Name:     "large-dict",
+		Patterns: pats, CaseFold: true, Corpus: corpus, Planted: planted,
+	}
+	m, err := core.Compile(s.Patterns, core.Options{CaseFold: true}) // FilterAuto
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); !st.FilterEnabled || st.TableFitsL2 || st.Patterns <= 1000 {
+		t.Fatalf("fixture is not a filtered, L2-spilling, >1,000-pattern dictionary: %+v", st)
+	}
+	rep, err := conformance.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RefMatches < planted {
+		t.Fatalf("%d reference matches, %d planted", rep.RefMatches, planted)
+	}
+	if rep.Configs < 50 { // 5 rungs x 2 filter modes x 5 scan modes
+		t.Fatalf("only %d configurations compared", rep.Configs)
+	}
+	for _, rr := range rep.Rungs {
+		if !rr.FilterLive || rr.SkipRate < 0.5 {
+			t.Fatalf("rung %s (%s): filter live=%v skip rate %.2f", rr.Rung, rr.Engine, rr.FilterLive, rr.SkipRate)
+		}
+	}
+}
+
 // TestScenarioFilterRegimes pins where the skip-scan front-end
 // engages across the suite: live with a healthy skip rate on the
 // long-pattern log scenario, and declined by FilterAuto on the

@@ -59,8 +59,10 @@ func CaseFold32() *Reduction {
 // FromPatterns computes the minimal reduction that keeps the bytes used
 // by the given patterns distinct. All bytes not appearing in any
 // pattern share one "other" class (class 0). If caseFold is set,
-// ASCII letters are folded together first. An error is returned if the
-// patterns need more than maxClasses distinct symbols.
+// ASCII letters are folded together first. When the patterns use all
+// 256 byte values no "other" byte is left, and the result is
+// Identity(). An error is returned if the patterns need more than
+// maxClasses distinct symbols.
 func FromPatterns(patterns [][]byte, caseFold bool, maxClasses int) (*Reduction, error) {
 	if maxClasses < 2 || maxClasses > 256 {
 		return nil, fmt.Errorf("alphabet: maxClasses %d out of range", maxClasses)
@@ -72,15 +74,20 @@ func FromPatterns(patterns [][]byte, caseFold bool, maxClasses int) (*Reduction,
 		return b
 	}
 	// Assign classes in first-appearance order; class 0 is "other".
-	classOf := make(map[byte]byte)
-	next := byte(1)
+	classOf := make(map[byte]int)
+	next := 1
 	for _, p := range patterns {
 		for _, raw := range p {
 			b := canon(raw)
 			if _, ok := classOf[b]; ok {
 				continue
 			}
-			if int(next) >= maxClasses {
+			if next == 256 {
+				// The 256th distinct byte: every value occurs (reachable
+				// only without folding, and only when maxClasses is 256).
+				return Identity(), nil
+			}
+			if next >= maxClasses {
 				return nil, fmt.Errorf(
 					"alphabet: patterns use more than %d distinct symbols", maxClasses-1)
 			}
@@ -88,10 +95,10 @@ func FromPatterns(patterns [][]byte, caseFold bool, maxClasses int) (*Reduction,
 			next++
 		}
 	}
-	r := &Reduction{Classes: int(next), Width: widthFor(maxClasses)}
+	r := &Reduction{Classes: next, Width: widthFor(maxClasses)}
 	for i := 0; i < 256; i++ {
 		if c, ok := classOf[canon(byte(i))]; ok {
-			r.Map[i] = c
+			r.Map[i] = byte(c)
 		}
 	}
 	return r, nil

@@ -115,6 +115,57 @@ func TestFromPatternsOverflow(t *testing.T) {
 	}
 }
 
+// TestFromPatternsAllByteValues: a dictionary that uses every byte
+// value leaves no byte for the "other" class, so the minimal reduction
+// is the identity; 255 values still fill all 256 classes with the one
+// unused byte in class 0, and folding keeps its class 0 free.
+func TestFromPatternsAllByteValues(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(255 - i)
+	}
+	r, err := FromPatterns([][]byte{all[:128], all[128:]}, false, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if *r != *Identity() {
+		t.Fatalf("all-256 dictionary: classes=%d width=%d, want the identity", r.Classes, r.Width)
+	}
+	if _, err := FromPatterns([][]byte{all}, false, 255); err == nil {
+		t.Fatal("256 distinct bytes fit 255 classes")
+	}
+
+	r, err = FromPatterns([][]byte{all[:255]}, false, 256) // byte 0x00 unused
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Classes != 256 || r.Width != 256 || r.Map[0] != 0 {
+		t.Fatalf("255-byte dictionary: classes=%d width=%d map[0]=%d", r.Classes, r.Width, r.Map[0])
+	}
+	for i := 1; i < 256; i++ {
+		if r.Map[i] == 0 {
+			t.Fatalf("used byte %#x landed in the other class", i)
+		}
+	}
+
+	r, err = FromPatterns([][]byte{all}, true, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Classes != 256-26+1 || r.Map['a'] != r.Map['A'] {
+		t.Fatalf("folded all-256 dictionary: classes=%d, a=%d A=%d", r.Classes, r.Map['a'], r.Map['A'])
+	}
+}
+
 func TestApplyAndReduce(t *testing.T) {
 	r := CaseFold32()
 	src := []byte("AbC")

@@ -24,7 +24,6 @@ import (
 	"cellmatch/internal/dfa"
 	"cellmatch/internal/filter"
 	"cellmatch/internal/kernel"
-	"cellmatch/internal/stt"
 	"cellmatch/internal/tile"
 )
 
@@ -156,11 +155,21 @@ type FilterMode int
 
 const (
 	// FilterAuto (the zero value) enables the filter when it is likely
-	// to win: the shortest pattern is at least filterAutoMinLen bytes,
-	// the dictionary has at most filterAutoMaxPatterns entries, and
-	// the filter's evidence tables stay under filterAutoMaxDensity
-	// occupancy (a saturated filter cannot rule windows out and only
-	// adds overhead).
+	// to win. The window (the shortest pattern) caps every shift, so
+	// the window length decides:
+	//   - filterAutoLongWindow bytes or more: on, whatever the pattern
+	//     count and evidence density. Such windows skip far enough to
+	//     beat every verifier, L2-spilling ones included (1.5-37x over
+	//     FilterOff on traffic that contains separators).
+	//   - filterAutoMinLen to filterAutoLongWindow-1 bytes: on only
+	//     when the dictionary has at most filterAutoMaxPatterns entries
+	//     and the filter's evidence tables stay under
+	//     filterAutoMaxDensity occupancy. Short windows lose up to 10x
+	//     to an L1-resident kernel, even on small dictionaries.
+	//   - shorter windows: off.
+	// Known blind spot: a long window over traffic drawn only from the
+	// dictionary's own alphabet (letters-only text, no separators)
+	// rarely skips and runs at 0.22-0.54x of FilterOff.
 	FilterAuto FilterMode = iota
 	// FilterOn forces the filter whenever it is legal (shortest
 	// pattern >= filter.MinWindow bytes). Dictionaries with a
@@ -175,6 +184,7 @@ const (
 // Auto-enable gates for FilterAuto (see FilterMode).
 const (
 	filterAutoMinLen      = 4
+	filterAutoLongWindow  = 16
 	filterAutoMaxPatterns = 256
 	filterAutoMaxDensity  = 0.75
 )
@@ -364,7 +374,8 @@ func (m *Matcher) initCompressed() error {
 // initFilter builds the skip-scan front-end per EngineOptions.Filter.
 // Dictionaries the filter cannot serve (shortest pattern a single
 // byte) bypass it silently even under FilterOn; FilterAuto
-// additionally requires the auto gates to pass. Out-of-range modes
+// additionally requires the auto gates to pass (windows of
+// filterAutoLongWindow bytes and more skip them). Out-of-range modes
 // are rejected here so every compiled matcher's options survive the
 // Save/Load round trip (Load enforces the same bound).
 func (m *Matcher) initFilter() error {
@@ -382,17 +393,18 @@ func (m *Matcher) initFilter() error {
 		// FilterOn) and every byte goes through the verifier engine.
 		return nil
 	}
-	// The cheap auto gates come before the build so non-qualifying
-	// dictionaries (short minimums, large pattern sets) pay nothing.
-	if mode == FilterAuto &&
-		(m.minLen < filterAutoMinLen || len(m.patterns) > filterAutoMaxPatterns) {
+	// Short windows face the auto gates; the cheap ones come before the
+	// build so non-qualifying dictionaries (short minimums, large
+	// pattern sets) pay nothing.
+	gated := mode == FilterAuto && m.minLen < filterAutoLongWindow
+	if gated && (m.minLen < filterAutoMinLen || len(m.patterns) > filterAutoMaxPatterns) {
 		return nil
 	}
 	f, err := filter.Build(m.patterns, m.sys.Red)
 	if err != nil {
 		return err
 	}
-	if mode == FilterAuto && f.Density() > filterAutoMaxDensity {
+	if gated && f.Density() > filterAutoMaxDensity {
 		return nil
 	}
 	m.filter = f
@@ -687,7 +699,7 @@ type Stats struct {
 	SeriesDepth   int
 	Groups        int
 	TilesRequired int
-	STTBytes      int // aggregate encoded table size at width 32
+	STTBytes      int // aggregate stt.Encode table size at the system's row width
 	AlphabetUsed  int // distinct reduced symbol classes the dictionary uses
 	MaxPatternLen int
 
@@ -773,10 +785,10 @@ func (m *Matcher) Stats() Stats {
 		MaxPatternLen: m.sys.MaxPatternLen,
 		Regex:         m.regex,
 	}
+	// One Width-entry row of 4-byte pointers per state: the size
+	// stt.Encode would produce, without encoding the tables.
 	for _, d := range m.sys.Slots {
-		if t, err := stt.Encode(d, m.sys.Width, 0); err == nil {
-			s.STTBytes += t.SizeBytes()
-		}
+		s.STTBytes += d.NumStates() * m.sys.Width * 4
 	}
 	s.DenseTableBudget = kernel.ResolveMaxTableBytes(m.opts.Engine.MaxTableBytes)
 	s.MinPatternLen = m.minLen
@@ -820,13 +832,12 @@ func (m *Matcher) Stats() Stats {
 }
 
 // FilterActive reports whether the skip-scan front-end is live — the
-// cheap per-request form for serving paths (Stats re-encodes tables).
+// cheap per-request form for serving paths (Stats fills every field).
 func (m *Matcher) FilterActive() bool { return m.filter != nil }
 
 // EngineName reports the live scan engine ("stride2", "kernel",
 // "compressed", "sharded", or "stt") without computing full Stats
-// (which re-encodes the STT tables) — the cheap per-request form for
-// serving paths.
+// — the cheap per-request form for serving paths.
 func (m *Matcher) EngineName() string {
 	switch {
 	case m.eng != nil:

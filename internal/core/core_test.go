@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"sort"
 	"testing"
 
+	"cellmatch/internal/baseline"
 	"cellmatch/internal/cell"
+	"cellmatch/internal/stt"
+	"cellmatch/internal/workload"
 )
 
 func TestCompileAndFindAll(t *testing.T) {
@@ -69,6 +74,109 @@ func TestStatsShape(t *testing.T) {
 	}
 	if m.NumPatterns() != 3 || string(m.Pattern(1)) != "beta" {
 		t.Fatal("pattern accessors")
+	}
+}
+
+// TestStatsSTTBytesMatchesEncode: Stats computes STTBytes from state
+// counts instead of encoding the tables; the figure must equal the
+// encoded size on the six scenarios, a large case-folded dictionary
+// and a regex dictionary.
+func TestStatsSTTBytesMatchesEncode(t *testing.T) {
+	scs, err := workload.Scenarios(1207, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, m *Matcher) {
+		t.Helper()
+		want := 0
+		for _, d := range m.sys.Slots {
+			tab, err := stt.Encode(d, m.sys.Width, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want += tab.SizeBytes()
+		}
+		if got := m.Stats().STTBytes; got != want || got == 0 {
+			t.Fatalf("%s: STTBytes = %d, encoded tables = %d", name, got, want)
+		}
+	}
+	for _, s := range scs {
+		check(s.Name, compileScenario(t, s, EngineOptions{}))
+	}
+	check("bigdict", bigDictMatcher(t))
+	m, err := CompileRegexSearch([]string{`GET /[a-z]{2,6}\.php`, `err(or)? [0-9]{3}`}, Options{CaseFold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("regex", m)
+}
+
+// TestCompileAllByteValues: a binary dictionary that uses all 256
+// byte values compiles onto the identity alphabet and matches what a
+// naive scan counts, pattern by pattern, with the filter on and off.
+func TestCompileAllByteValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	seen := map[string]bool{}
+	var pats [][]byte
+	for len(pats) < 300 {
+		p := make([]byte, 4+rng.Intn(12))
+		rng.Read(p)
+		if !seen[string(p)] {
+			seen[string(p)] = true
+			pats = append(pats, p)
+		}
+	}
+	var used [256]bool
+	for _, p := range pats {
+		for _, b := range p {
+			used[b] = true
+		}
+	}
+	for b, ok := range used {
+		if !ok {
+			t.Fatalf("fixture misses byte %#x", b)
+		}
+	}
+	data := make([]byte, 64<<10)
+	rng.Read(data)
+	for pos := 100; pos+16 < len(data); pos += 331 {
+		copy(data[pos:], pats[rng.Intn(len(pats))])
+	}
+	want := make([]int, len(pats))
+	total := 0
+	for i, p := range pats {
+		want[i] = baseline.NaiveCount(data, p)
+		total += want[i]
+	}
+	if total < 150 {
+		t.Fatalf("fixture has only %d matches", total)
+	}
+	for _, mode := range []FilterMode{FilterOn, FilterOff} {
+		m, err := Compile(pats, Options{Engine: EngineOptions{Filter: mode}})
+		if err != nil {
+			t.Fatalf("filter mode %d: %v", mode, err)
+		}
+		st := m.Stats()
+		if st.AlphabetUsed != 256 || st.FilterEnabled != (mode == FilterOn) {
+			t.Fatalf("filter mode %d: %+v", mode, st)
+		}
+		ms, err := m.FindAll(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int, len(pats))
+		for _, x := range ms {
+			if !bytes.Equal(data[x.End-len(pats[x.Pattern]):x.End], pats[x.Pattern]) {
+				t.Fatalf("filter mode %d: bogus match %+v", mode, x)
+			}
+			got[x.Pattern]++
+		}
+		for i := range pats {
+			if got[i] != want[i] {
+				t.Fatalf("filter mode %d: pattern %d matched %d times, naive count %d",
+					mode, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"cellmatch/internal/filter"
 	"cellmatch/internal/parallel"
+	"cellmatch/internal/workload"
 )
 
 // filterVerifiers compiles one dictionary onto every verifier tier
@@ -237,9 +239,10 @@ func TestFilterAutoSelection(t *testing.T) {
 // density — so a drive-by retune of the thresholds shows up as a test
 // diff, not as a silent engine-selection change in production.
 func TestFilterAutoBoundaries(t *testing.T) {
-	if filterAutoMinLen != 4 || filterAutoMaxPatterns != 256 || filterAutoMaxDensity != 0.75 {
-		t.Fatalf("auto gate constants moved: minLen=%d maxPatterns=%d maxDensity=%v",
-			filterAutoMinLen, filterAutoMaxPatterns, filterAutoMaxDensity)
+	if filterAutoMinLen != 4 || filterAutoMaxPatterns != 256 || filterAutoMaxDensity != 0.75 ||
+		filterAutoLongWindow != 16 {
+		t.Fatalf("auto gate constants moved: minLen=%d maxPatterns=%d maxDensity=%v longWindow=%d",
+			filterAutoMinLen, filterAutoMaxPatterns, filterAutoMaxDensity, filterAutoLongWindow)
 	}
 
 	enabled := func(t *testing.T, pats []string) bool {
@@ -309,6 +312,137 @@ func TestFilterAutoBoundaries(t *testing.T) {
 	}
 	if enabled(t, overBoundary) {
 		t.Fatal("density above 0.75 accepted")
+	}
+
+	// Long-window boundary: from a 16-byte minimum on, the count and
+	// density gates no longer apply; at 15 bytes both still decline.
+	// The same dictionaries differ only in window length, so the
+	// boundary is the window, not a loosened gate.
+	padded := func(pats []string, n int) []string {
+		out := make([]string, len(pats))
+		for i, p := range pats {
+			out[i] = p + strings.Repeat(p[len(p)-1:], n-len(p))
+		}
+		return out
+	}
+	saturated := []string{"abcd", "bcda", "cdab", "dabc"}
+	for _, n := range []int{15, 16} {
+		if d := density(t, padded(saturated, n)); d <= filterAutoMaxDensity {
+			t.Fatalf("saturated %d-byte dictionary density = %v, want > 0.75", n, d)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		pats []string
+	}{
+		{"257 patterns", sharedPrefix(257)},
+		{"saturated", saturated},
+	} {
+		short, long := padded(tc.pats, 15), padded(tc.pats, 16)
+		if !enabled(t, long) {
+			t.Fatalf("%s: 16-byte window declined", tc.name)
+		}
+		if enabled(t, short) {
+			t.Fatalf("%s: 15-byte window accepted", tc.name)
+		}
+	}
+}
+
+// compileScenario compiles a workload scenario's dictionary on the
+// given engine options, through the regex surface when it says so.
+func compileScenario(t *testing.T, s workload.Scenario, eng EngineOptions) *Matcher {
+	t.Helper()
+	opts := Options{CaseFold: s.CaseFold, Engine: eng}
+	var m *Matcher
+	var err error
+	if s.Regex {
+		exprs := make([]string, len(s.Patterns))
+		for i, p := range s.Patterns {
+			exprs[i] = string(p)
+		}
+		m, err = CompileRegexSearch(exprs, opts)
+	} else {
+		m, err = Compile(s.Patterns, opts)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", s.Name, err)
+	}
+	return m
+}
+
+var bigDict struct {
+	once sync.Once
+	m    *Matcher
+	err  error
+}
+
+// bigDictMatcher compiles (once per test binary) the case-folded
+// 30,000-state dictionary under default options: 1,332 24-byte
+// patterns whose dense table spills L2.
+func bigDictMatcher(t *testing.T) *Matcher {
+	t.Helper()
+	bigDict.once.Do(func() {
+		pats, err := workload.Dictionary(workload.DictConfig{TargetStates: 30000, Seed: 3})
+		if err != nil {
+			bigDict.err = err
+			return
+		}
+		bigDict.m, bigDict.err = Compile(pats, Options{CaseFold: true})
+	})
+	if bigDict.err != nil {
+		t.Fatal(bigDict.err)
+	}
+	return bigDict.m
+}
+
+// TestFilterAutoDecisionTable pins FilterAuto's choice on the named
+// workloads: the six scenarios keep the decision they had before the
+// long-window rule, and the case-folded 1,332-pattern, 24-byte
+// dictionary (its dense table spills L2) is admitted.
+func TestFilterAutoDecisionTable(t *testing.T) {
+	scs, err := workload.Scenarios(1207, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		"log-scan": true, "dlp-pii": true, "malware-short": false,
+		"hostile-overlap": true, "fold-collide": true, "regex-logs": false,
+	}
+	if len(scs) != len(want) {
+		t.Fatalf("%d scenarios, want %d", len(scs), len(want))
+	}
+	for _, s := range scs {
+		on, ok := want[s.Name]
+		if !ok {
+			t.Fatalf("unexpected scenario %q", s.Name)
+		}
+		if got := compileScenario(t, s, EngineOptions{}).Stats().FilterEnabled; got != on {
+			t.Errorf("%s: FilterAuto enabled = %v, want %v", s.Name, got, on)
+		}
+	}
+
+	st := bigDictMatcher(t).Stats()
+	if st.Patterns <= filterAutoMaxPatterns || st.MinPatternLen < filterAutoLongWindow || st.TableFitsL2 {
+		t.Fatalf("fixture no longer a large long-window dictionary: %+v", st)
+	}
+	if !st.FilterEnabled || st.FilterWindow != st.MinPatternLen {
+		t.Fatalf("large long-window dictionary declined: %+v", st)
+	}
+	// Reloaded and delta-recompiled matchers take the same decision.
+	var buf bytes.Buffer
+	if err := bigDictMatcher(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, _, err := bigDictMatcher(t).AddPatterns([][]byte{[]byte("QUARANTINEDSIGNATURE0001")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.FilterActive() || !patched.FilterActive() {
+		t.Fatalf("filter lost: after Load %v, after AddPatterns %v", loaded.FilterActive(), patched.FilterActive())
 	}
 }
 
